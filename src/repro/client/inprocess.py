@@ -20,7 +20,7 @@ from repro.api.schemas import (
     TelemetrySnapshot,
 )
 from repro.client.base import Client
-from repro.server.queue import Job, job_status
+from repro.server.queue import job_status
 from repro.server.server import SolveServer
 
 __all__ = ["InProcessClient"]
@@ -37,23 +37,15 @@ class InProcessClient(Client):
     wire_fidelity:
         Round-trip requests and responses through the JSON codec so this
         client sees exactly what a wire client sees (lossless; default on).
-    max_tracked_jobs:
-        Retention bound of the submitted-job registry: beyond it the oldest
-        *finished* jobs (and their solution vectors) are dropped, exactly
-        like the HTTP adapter's registry — a long-lived client must not
-        accumulate every response it ever received.
     server_kwargs:
         Forwarded to :class:`SolveServer` when it is owned.
     """
 
     def __init__(self, server: SolveServer | None = None, *,
-                 wire_fidelity: bool = True, max_tracked_jobs: int = 4096,
-                 **server_kwargs) -> None:
+                 wire_fidelity: bool = True, **server_kwargs) -> None:
         self._owns_server = server is None
         self.server = SolveServer(**server_kwargs) if server is None else server
         self.wire_fidelity = bool(wire_fidelity)
-        self._jobs: dict[int, Job] = {}
-        self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
 
     def _round_trip_request(self, request: SolveRequestV1) -> SolveRequestV1:
         if not self.wire_fidelity:
@@ -73,21 +65,11 @@ class InProcessClient(Client):
 
     def submit(self, request: SolveRequestV1) -> int:
         """Queue one request; returns the job id for :meth:`job`/:meth:`result`."""
-        job = self.server.submit(self._round_trip_request(request))
-        self._jobs[job.id] = job
-        overflow = len(self._jobs) - self._max_tracked_jobs
-        if overflow > 0:
-            # dicts iterate in insertion order: evict the oldest finished
-            # jobs first (pending jobs are bounded by the admission queue).
-            evictable = [job_id for job_id, tracked in self._jobs.items()
-                         if tracked.done()]
-            for stale in evictable[:overflow]:
-                del self._jobs[stale]
-        return job.id
+        return self.server.submit(self._round_trip_request(request)).id
 
     def job(self, job_id: int) -> JobStatusV1:
-        """Status of a job submitted through this client."""
-        job = self._jobs.get(job_id)
+        """Status of a job submitted to the wrapped server."""
+        job = self.server.find_job(job_id)
         if job is None:
             # Same behaviour as a remote 404: raise through the envelope so
             # transport-blind callers catch one exception type.
@@ -116,4 +98,3 @@ class InProcessClient(Client):
         """Shut the wrapped server down when this client owns it."""
         if self._owns_server:
             self.server.shutdown()
-        self._jobs.clear()

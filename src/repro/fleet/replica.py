@@ -328,6 +328,7 @@ class ReplicaFleet:
         self.probe_timeout = float(probe_timeout)
         self.unhealthy_threshold = int(unhealthy_threshold)
         self._lock = threading.Lock()
+        self._sweep_lock = threading.Lock()
         self._state = {replica.name: _ReplicaState(self.backoff_initial)
                        for replica in self._replicas}
         self._stop = threading.Event()
@@ -426,9 +427,15 @@ class ReplicaFleet:
 
     # -- monitoring ----------------------------------------------------------
     def probe_now(self) -> None:
-        """One synchronous health sweep (also used by tests)."""
-        for replica in self._replicas:
-            self._check(replica)
+        """One synchronous health sweep (also used by tests).
+
+        Sweeps are serialised: interleaved with another sweep, a health
+        answer read just before a replica died could flip it back to live
+        after the other sweep had marked it dead.
+        """
+        with self._sweep_lock:
+            for replica in self._replicas:
+                self._check(replica)
         self._observe_live()
 
     def _monitor_loop(self) -> None:

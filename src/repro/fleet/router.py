@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import json
 import threading
-from http.server import ThreadingHTTPServer
 
 from repro.api.errors import (
     ERROR_BAD_REQUEST,
@@ -63,7 +62,7 @@ from repro.client.http import HTTPClient, RawReply
 from repro.fleet.replica import ReplicaFleet
 from repro.fleet.ring import DEFAULT_VNODES, HashRing
 from repro.logging_utils import get_logger
-from repro.server.http import TRACE_HEADER, WireHandler
+from repro.server.http import TRACE_HEADER, HTTPFrontEnd, WireHandler
 from repro.server.telemetry import parse_label_key, render_label_key
 from repro.obs.prometheus import merge_expositions, render_prometheus
 from repro.version import __version__
@@ -107,14 +106,10 @@ class _RouterHandler(WireHandler):
     wire_log = _LOG
     server_version = f"repro-fleet/{__version__}"
 
-    @property
-    def router(self) -> "FleetRouter":
-        return self.server.router
-
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         route, _ = self._split_path()
         if route in ("/v1/solve", "/v1/submit"):
-            self._dispatch(lambda: self.router.proxy_request(self, route))
+            self._dispatch(lambda: self.owner.proxy_request(self, route))
         else:
             self._drain_body()
             self._send_error_envelope(ErrorEnvelope(
@@ -123,11 +118,11 @@ class _RouterHandler(WireHandler):
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         route, query = self._split_path()
         if route == "/v1/healthz":
-            self._dispatch(lambda: self.router.answer_health(self))
+            self._dispatch(lambda: self.owner.answer_health(self))
         elif route == "/v1/metrics":
-            self._dispatch(lambda: self.router.answer_metrics(self, query))
+            self._dispatch(lambda: self.owner.answer_metrics(self, query))
         elif route.startswith("/v1/jobs/"):
-            self._dispatch(lambda: self.router.proxy_job(self, route))
+            self._dispatch(lambda: self.owner.proxy_job(self, route))
         else:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such endpoint {self.path}"))
@@ -146,18 +141,7 @@ class _RouterHandler(WireHandler):
         self.wfile.write(reply.body)
 
 
-class _RouterHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning router."""
-
-    daemon_threads = True
-    allow_reuse_address = True
-
-    def __init__(self, address, router: "FleetRouter") -> None:
-        super().__init__(address, _RouterHandler)
-        self.router = router
-
-
-class FleetRouter:
+class FleetRouter(HTTPFrontEnd):
     """HTTP front end sharding the wire protocol across a replica fleet.
 
     Parameters
@@ -177,22 +161,28 @@ class FleetRouter:
     failover_retries:
         How many times a connection-class failure may be retried against
         the next replica on the preference walk (default: once).
+
+    Lifecycle (``start`` / ``serve_forever`` / ``shutdown``, context
+    manager) is :class:`~repro.server.http.HTTPFrontEnd`'s.  Shutting the
+    router down stops only the front end; the fleet is drained by its owner.
     """
+
+    handler_class = _RouterHandler
+    thread_name = "fleet-router"
+    log = _LOG
 
     def __init__(self, fleet: ReplicaFleet, *, host: str = "127.0.0.1",
                  port: int = 0, vnodes: int = DEFAULT_VNODES,
                  proxy_timeout: float = 300.0, connect_timeout: float = 5.0,
                  failover_retries: int = 1,
                  max_tracked_jobs: int = 4096) -> None:
+        super().__init__(host, port)
         self.fleet = fleet
         self.telemetry = fleet.telemetry
         self.ring = HashRing(fleet.ids(), vnodes=vnodes)
         self.proxy_timeout = float(proxy_timeout)
         self.connect_timeout = float(connect_timeout)
         self.failover_retries = int(failover_retries)
-        self._requested_address = (host, int(port))
-        self._httpd: _RouterHTTPServer | None = None
-        self._thread: threading.Thread | None = None
         self._clients: dict[str, HTTPClient] = {}
         self._clients_lock = threading.Lock()
         # Router-namespaced job ids: router_id -> (replica name, remote id).
@@ -460,61 +450,7 @@ class FleetRouter:
         status = 503 if payload["status"] == "unavailable" else 200
         handler._send_json(status, payload)
 
-    # -- lifecycle (mirrors SolveHTTPServer) ----------------------------------
-    def _bind(self) -> _RouterHTTPServer:
-        if self._httpd is None:
-            self._httpd = _RouterHTTPServer(self._requested_address, self)
-        return self._httpd
-
-    @property
-    def port(self) -> int:
-        """The bound port (binds lazily, resolving an ephemeral request)."""
-        return self._bind().server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        return f"http://{self._requested_address[0]}:{self.port}"
-
-    def start(self) -> "FleetRouter":
-        """Bind and serve from a daemon thread; returns ``self``."""
-        httpd = self._bind()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=httpd.serve_forever, name="fleet-router",
-                kwargs={"poll_interval": 0.05}, daemon=True)
-            self._thread.start()
-        _LOG.info("fleet router serving on %s (%d replicas)",
-                  self.url, len(self.fleet.ids()))
-        return self
-
-    def serve_forever(self) -> None:
-        """Bind and serve in the calling thread until :meth:`shutdown`."""
-        httpd = self._bind()
-        _LOG.info("fleet router serving on %s (%d replicas)",
-                  self.url, len(self.fleet.ids()))
-        try:
-            httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._close_http()
-
-    def _close_http(self) -> None:
-        if self._httpd is not None:
-            self._httpd.server_close()
-            self._httpd = None
-
-    def shutdown(self) -> None:
-        """Stop the front end.  The fleet is drained by its owner."""
-        thread = self._thread
-        if self._httpd is not None and thread is not None and thread.is_alive():
-            self._httpd.shutdown()
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-        self._close_http()
-
-    def __enter__(self) -> "FleetRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
+    # -- lifecycle hook -------------------------------------------------------
+    def _serving_message(self) -> str:
+        return (f"fleet router serving on {self.url} "
+                f"({len(self.fleet.ids())} replicas)")

@@ -19,7 +19,7 @@ import math
 import re
 
 __all__ = ["render_prometheus", "parse_prometheus", "merge_expositions",
-           "PrometheusSample"]
+           "PrometheusSample", "escape_label_value", "unescape_label_value"]
 
 _INVALID_NAME_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
@@ -40,10 +40,32 @@ def _sanitize(name: str) -> str:
     return clean
 
 
-def _escape(value: str) -> str:
+def escape_label_value(value: str) -> str:
+    """A label value escaped per the text format (``\\``, ``"``, newline).
+
+    The one escaping rule of the package: the exposition here and the
+    instrument keys of :func:`repro.server.telemetry.render_label_key` both
+    use it, and :func:`unescape_label_value` inverts it.
+    """
     return (value.replace("\\", r"\\")
             .replace('"', r"\"")
             .replace("\n", r"\n"))
+
+
+def unescape_label_value(value: str) -> str:
+    """Inverse of :func:`escape_label_value`; unknown escapes stay verbatim."""
+    out: list[str] = []
+    i = 0
+    while i < len(value):
+        ch = value[i]
+        if ch == "\\" and i + 1 < len(value):
+            nxt = value[i + 1]
+            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt))
+            i += 2
+        else:
+            out.append(ch)
+            i += 1
+    return "".join(out)
 
 
 def _format_value(value: float) -> str:
@@ -63,7 +85,8 @@ def _sample_line(name: str, labels: dict[str, str], value: float,
     if extra is not None:
         items.append(extra)
     if items:
-        inner = ",".join(f'{key}="{_escape(val)}"' for key, val in items)
+        inner = ",".join(f'{key}="{escape_label_value(val)}"'
+                         for key, val in items)
         return f"{name}{{{inner}}} {_format_value(value)}"
     return f"{name} {_format_value(value)}"
 
@@ -200,21 +223,6 @@ class PrometheusSample:
         return f"PrometheusSample({self.name!r}, {self.labels!r}, {self.value!r})"
 
 
-def _unescape(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
-
-
 def _parse_labels(raw: str) -> dict[str, str]:
     labels: dict[str, str] = {}
     pos = 0
@@ -222,7 +230,8 @@ def _parse_labels(raw: str) -> dict[str, str]:
         match = _LABEL_RE.match(raw, pos)
         if match is None:
             raise ValueError(f"malformed label block: {raw!r} at offset {pos}")
-        labels[match.group("key")] = _unescape(match.group("value"))
+        labels[match.group("key")] = unescape_label_value(
+            match.group("value"))
         pos = match.end()
     return labels
 

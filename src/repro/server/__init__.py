@@ -24,29 +24,28 @@ and HTTP/JSON traffic (:mod:`repro.server.http` +
   snapshots, and the instrument walk behind the Prometheus exposition of
   :mod:`repro.obs.prometheus`).
 * :mod:`repro.server.server` — :class:`SolveServer`, the facade with
-  submit / await / drain / shutdown semantics.
+  submit / await / drain / shutdown semantics and the bounded registry of
+  submitted jobs every transport's job lookup reads.
 * :mod:`repro.server.http` — :class:`SolveHTTPServer`, the stdlib
   HTTP/JSON adapter (``POST /v1/solve``, ``POST /v1/submit``,
-  ``GET /v1/jobs/<id>``, ``GET /v1/metrics``, ``GET /v1/healthz``).
+  ``GET /v1/jobs/<id>``, ``GET /v1/metrics``, ``GET /v1/healthz``), on the
+  :class:`~repro.server.http.HTTPFrontEnd` lifecycle the fleet router
+  shares.
 * :mod:`repro.server.cli` — the ``repro-serve`` console entry point
   (one-shot solves, or ``--http`` to serve the wire protocol).
-
-``SolveRequest`` and ``SolveResponse`` remain importable from here as thin
-deprecated aliases of the :mod:`repro.api` schemas.
 """
 
 from repro.server.queue import (
     AdmissionError,
     Job,
     JobQueue,
-    SolveRequest,
     REJECT_CLOSED,
     REJECT_DRAINING,
     REJECT_INVALID,
     REJECT_QUEUE_FULL,
 )
 from repro.server.policy import PolicyDecision, PreconditionerPolicy
-from repro.server.scheduler import Scheduler, SolveResponse
+from repro.server.scheduler import Scheduler
 from repro.server.server import SolveServer
 from repro.server.http import SolveHTTPServer, TRACE_HEADER
 from repro.server.telemetry import (
@@ -61,7 +60,6 @@ __all__ = [
     "AdmissionError",
     "Job",
     "JobQueue",
-    "SolveRequest",
     "REJECT_CLOSED",
     "REJECT_DRAINING",
     "REJECT_INVALID",
@@ -69,7 +67,6 @@ __all__ = [
     "PolicyDecision",
     "PreconditionerPolicy",
     "Scheduler",
-    "SolveResponse",
     "SolveServer",
     "SolveHTTPServer",
     "TRACE_HEADER",

@@ -16,7 +16,8 @@ method   path               body / answer
 =======  =================  ===================================================
 POST     ``/v1/solve``      ``solve_request`` → ``solve_response`` (sync)
 POST     ``/v1/submit``     ``solve_request`` → ``job_status`` (queued, 202)
-GET      ``/v1/jobs/<id>``  → ``job_status`` (result / error once finished)
+GET      ``/v1/jobs/<id>``  → ``job_status`` (result / error once finished),
+                             looked up by :meth:`SolveServer.find_job`
 GET      ``/v1/metrics``    → ``telemetry`` snapshot
                              (``?format=prometheus`` → text exposition)
 GET      ``/v1/healthz``    → liveness + queue state
@@ -56,11 +57,11 @@ from repro.api.errors import (
 from repro.api.schemas import SolveRequestV1, TelemetrySnapshot
 from repro.logging_utils import get_logger
 from repro.obs.trace import use_trace_id
-from repro.server.queue import Job, job_status
+from repro.server.queue import job_status
 from repro.server.server import SolveServer
 from repro.version import __version__
 
-__all__ = ["SolveHTTPServer", "WireHandler", "TRACE_HEADER"]
+__all__ = ["HTTPFrontEnd", "SolveHTTPServer", "WireHandler", "TRACE_HEADER"]
 
 _LOG = get_logger("server.http")
 
@@ -95,6 +96,11 @@ class WireHandler(BaseHTTPRequestHandler):
     #: Logger of the concrete handler (subclasses override for their own
     #: channel).
     wire_log = _LOG
+
+    @property
+    def owner(self) -> "HTTPFrontEnd":
+        """The :class:`HTTPFrontEnd` this exchange is served by."""
+        return self.server.owner
 
     # -- plumbing ------------------------------------------------------------
     def log_message(self, format: str, *args) -> None:  # noqa: A002
@@ -233,7 +239,7 @@ class _Handler(WireHandler):
         request = self._read_request_schema()
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
-            response = self.server.adapter.solve_server.solve(request)
+            response = self.owner.solve_server.solve(request)
         echo = response.trace_id or trace_id
         self._send_json(200, response.to_json_dict(),
                         headers=None if echo is None else {TRACE_HEADER: echo})
@@ -242,8 +248,7 @@ class _Handler(WireHandler):
         request = self._read_request_schema()
         trace_id = self._request_trace_id()
         with use_trace_id(trace_id):
-            job = self.server.adapter.solve_server.submit(request)
-        self.server.adapter.track_job(job)
+            job = self.owner.solve_server.submit(request)
         echo = job.trace_id or trace_id
         self._send_json(202, job_status(job).to_json_dict(),
                         headers=None if echo is None else {TRACE_HEADER: echo})
@@ -257,7 +262,7 @@ class _Handler(WireHandler):
                 code=ERROR_BAD_REQUEST,
                 message=f"job id {token!r} is not an integer"))
             return
-        job = self.server.adapter.find_job(job_id)
+        job = self.owner.solve_server.find_job(job_id)
         if job is None:
             self._send_error_envelope(ErrorEnvelope(
                 code=ERROR_NOT_FOUND, message=f"no such job {job_id}"))
@@ -268,7 +273,7 @@ class _Handler(WireHandler):
         fmt = (query.get("format") or ["json"])[-1].lower()
         if fmt == "prometheus":
             self._send_text(
-                200, self.server.adapter.solve_server.prometheus_metrics(),
+                200, self.owner.solve_server.prometheus_metrics(),
                 content_type="text/plain; version=0.0.4; charset=utf-8")
             return
         if fmt != "json":
@@ -278,30 +283,124 @@ class _Handler(WireHandler):
                         "(expected 'json' or 'prometheus')"))
             return
         snapshot = TelemetrySnapshot.from_snapshot(
-            self.server.adapter.solve_server.telemetry_snapshot())
+            self.owner.solve_server.telemetry_snapshot())
         self._send_json(200, snapshot.to_json_dict())
 
     def _get_healthz(self) -> None:
         self._send_json(
-            200, self.server.adapter.solve_server.health_snapshot())
+            200, self.owner.solve_server.health_snapshot())
 
     def _get_learn(self) -> None:
         self._send_json(
-            200, self.server.adapter.solve_server.learn_status())
+            200, self.owner.solve_server.learn_status())
 
 
-class _HTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer that knows its owning adapter."""
+class _FrontEndHTTPServer(ThreadingHTTPServer):
+    """ThreadingHTTPServer that knows the front end owning it."""
 
     daemon_threads = True
     allow_reuse_address = True
 
-    def __init__(self, address, adapter: "SolveHTTPServer") -> None:
-        super().__init__(address, _Handler)
-        self.adapter = adapter
+    def __init__(self, address, handler_class: type[WireHandler],
+                 owner: "HTTPFrontEnd") -> None:
+        super().__init__(address, handler_class)
+        self.owner = owner
 
 
-class SolveHTTPServer:
+class HTTPFrontEnd:
+    """Bind / serve / shut down lifecycle shared by every wire front end.
+
+    :class:`SolveHTTPServer` and the fleet router
+    (:class:`~repro.fleet.router.FleetRouter`) both inherit it.  A subclass
+    supplies only its :attr:`handler_class` (a :class:`WireHandler` whose
+    requests reach the front end as ``self.owner``), its
+    :attr:`thread_name`, the line logged once serving starts
+    (:meth:`_serving_message`) and what must happen once the listening
+    socket is closed (:meth:`_after_close`).
+    """
+
+    handler_class: type[WireHandler]
+    thread_name: str
+    log = _LOG
+
+    def __init__(self, host: str, port: int) -> None:
+        self._requested_address = (host, int(port))
+        self._httpd: _FrontEndHTTPServer | None = None
+        self._thread: threading.Thread | None = None
+
+    def _serving_message(self) -> str:
+        return f"serving HTTP on {self.url}"
+
+    def _after_close(self) -> None:
+        """Release what the front end owns once its socket is closed."""
+
+    def _bind(self) -> _FrontEndHTTPServer:
+        if self._httpd is None:
+            self._httpd = _FrontEndHTTPServer(
+                self._requested_address, self.handler_class, self)
+        return self._httpd
+
+    @property
+    def port(self) -> int:
+        """The bound port (binds lazily, resolving an ephemeral request)."""
+        return self._bind().server_address[1]
+
+    @property
+    def url(self) -> str:
+        """Base URL clients should talk to."""
+        return f"http://{self._requested_address[0]}:{self.port}"
+
+    def start(self) -> "HTTPFrontEnd":
+        """Bind and serve from a daemon thread; returns ``self``."""
+        httpd = self._bind()
+        if self._thread is None or not self._thread.is_alive():
+            self._thread = threading.Thread(
+                target=httpd.serve_forever, name=self.thread_name,
+                kwargs={"poll_interval": 0.05}, daemon=True)
+            self._thread.start()
+        self.log.info(self._serving_message())
+        return self
+
+    def serve_forever(self) -> None:
+        """Bind and serve in the calling thread until :meth:`shutdown`."""
+        httpd = self._bind()
+        self.log.info(self._serving_message())
+        try:
+            httpd.serve_forever(poll_interval=0.05)
+        finally:
+            self._close_http()
+            self._after_close()
+
+    def _close_http(self) -> None:
+        if self._httpd is not None:
+            self._httpd.server_close()
+            self._httpd = None
+
+    def shutdown(self) -> None:
+        """Stop accepting connections, then run :meth:`_after_close`.
+
+        Only valid from a thread other than the one inside
+        :meth:`serve_forever` (the stdlib restriction); the CLIs' blocking
+        mode instead interrupts ``serve_forever`` and relies on its
+        ``finally`` clause for the same cleanup.
+        """
+        thread = self._thread
+        if self._httpd is not None and thread is not None and thread.is_alive():
+            self._httpd.shutdown()
+        if thread is not None:
+            thread.join(timeout=5.0)
+        self._thread = None
+        self._close_http()
+        self._after_close()
+
+    def __enter__(self) -> "HTTPFrontEnd":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.shutdown()
+
+
+class SolveHTTPServer(HTTPFrontEnd):
     """Serve a :class:`SolveServer` over HTTP/JSON.
 
     Parameters
@@ -313,7 +412,8 @@ class SolveHTTPServer:
         Bind address; ``port=0`` picks an ephemeral port (see :attr:`port`
         after :meth:`start`).
     server_kwargs:
-        Forwarded to :class:`SolveServer` when it is owned.
+        Forwarded to :class:`SolveServer` when it is owned (its
+        ``max_tracked_jobs`` bounds what ``GET /v1/jobs/<id>`` can find).
 
     Usage::
 
@@ -326,111 +426,17 @@ class SolveHTTPServer:
         SolveHTTPServer(port=8080).serve_forever()
     """
 
+    handler_class = _Handler
+    thread_name = "solve-http-server"
+
     def __init__(self, solve_server: SolveServer | None = None, *,
                  host: str = "127.0.0.1", port: int = 0,
-                 max_tracked_jobs: int = 4096,
                  **server_kwargs) -> None:
+        super().__init__(host, port)
         self._owns_solve_server = solve_server is None
         self.solve_server = (SolveServer(**server_kwargs)
                              if solve_server is None else solve_server)
-        self._requested_address = (host, int(port))
-        self._httpd: _HTTPServer | None = None
-        self._thread: threading.Thread | None = None
-        self._jobs: dict[int, Job] = {}
-        self._jobs_lock = threading.Lock()
-        self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
 
-    # -- job tracking (GET /v1/jobs/<id>) ------------------------------------
-    def track_job(self, job: Job) -> None:
-        """Remember a submitted job so its status can be queried later.
-
-        The registry is bounded: beyond ``max_tracked_jobs`` the oldest
-        *finished* jobs are evicted (their results — including full solution
-        vectors — would otherwise accumulate for the lifetime of the
-        process).  Unfinished jobs are never dropped; their count is already
-        bounded by the admission queue.  A ``GET /v1/jobs/<id>`` for an
-        evicted job answers 404, the standard contract of a
-        retention-bounded job store.
-        """
-        with self._jobs_lock:
-            self._jobs[job.id] = job
-            overflow = len(self._jobs) - self._max_tracked_jobs
-            if overflow > 0:
-                # dicts iterate in insertion order: oldest first.
-                evictable = [job_id for job_id, tracked in self._jobs.items()
-                             if tracked.done()]
-                for job_id in evictable[:overflow]:
-                    del self._jobs[job_id]
-
-    def find_job(self, job_id: int) -> Job | None:
-        """The tracked job of ``job_id``, or ``None``."""
-        with self._jobs_lock:
-            return self._jobs.get(job_id)
-
-    # -- lifecycle -----------------------------------------------------------
-    def _bind(self) -> _HTTPServer:
-        if self._httpd is None:
-            self._httpd = _HTTPServer(self._requested_address, self)
-        return self._httpd
-
-    @property
-    def port(self) -> int:
-        """The bound port (binds lazily, resolving an ephemeral request)."""
-        return self._bind().server_address[1]
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should talk to."""
-        host = self._requested_address[0]
-        return f"http://{host}:{self.port}"
-
-    def start(self) -> "SolveHTTPServer":
-        """Bind and serve from a daemon thread; returns ``self``."""
-        httpd = self._bind()
-        if self._thread is None or not self._thread.is_alive():
-            self._thread = threading.Thread(
-                target=httpd.serve_forever, name="solve-http-server",
-                kwargs={"poll_interval": 0.05}, daemon=True)
-            self._thread.start()
-        _LOG.info("serving HTTP on %s", self.url)
-        return self
-
-    def serve_forever(self) -> None:
-        """Bind and serve in the calling thread until :meth:`shutdown`."""
-        httpd = self._bind()
-        _LOG.info("serving HTTP on %s", self.url)
-        try:
-            httpd.serve_forever(poll_interval=0.05)
-        finally:
-            self._close_http()
-            if self._owns_solve_server:
-                self.solve_server.shutdown()
-
-    def _close_http(self) -> None:
-        if self._httpd is not None:
-            self._httpd.server_close()
-            self._httpd = None
-
-    def shutdown(self) -> None:
-        """Stop accepting connections, then drain the owned solve server.
-
-        Only valid from a thread other than the one inside
-        :meth:`serve_forever` (the stdlib restriction); the CLI's blocking
-        mode instead interrupts ``serve_forever`` and relies on its
-        ``finally`` clause for the same cleanup.
-        """
-        thread = self._thread
-        if self._httpd is not None and thread is not None and thread.is_alive():
-            self._httpd.shutdown()
-        if thread is not None:
-            thread.join(timeout=5.0)
-        self._thread = None
-        self._close_http()
+    def _after_close(self) -> None:
         if self._owns_solve_server:
             self.solve_server.shutdown()
-
-    def __enter__(self) -> "SolveHTTPServer":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

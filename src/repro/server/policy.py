@@ -307,11 +307,10 @@ class PreconditionerPolicy:
         pool = [(fp, name, features)
                 for fp, name, features in self._neighbour_pool
                 if fp != fingerprint]
-        found = nearest_feature_neighbour(
+        if not pool:
+            return None  # nothing to compare against: skip the features
+        best, distance = nearest_feature_neighbour(
             [features for _, _, features in pool], feature_vector(matrix))
-        if found is None:
-            return None
-        best, distance = found
         fp, name, _ = pool[best]
         _LOG.debug("warm start for %s from neighbour %s (distance %.3f)",
                    fingerprint[:8], name, distance)

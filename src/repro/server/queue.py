@@ -1,7 +1,8 @@
 """Admission-controlled job queue of the solve server.
 
-The front door of the serving layer: a :class:`SolveRequest` is validated and
-either *admitted* — wrapped in a :class:`Job` the caller can wait on — or
+The front door of the serving layer: a
+:class:`~repro.api.schemas.SolveRequestV1` is validated and either
+*admitted* — wrapped in a :class:`Job` the caller can wait on — or
 *rejected* with an explicit reason (:class:`AdmissionError`).  Rejection
 instead of unbounded buffering is the backpressure mechanism: a server under
 heavy traffic sheds load at the door rather than growing its queue until
@@ -47,7 +48,6 @@ from repro.api.schemas import (
 from repro.logging_utils import get_logger
 
 __all__ = [
-    "SolveRequest",
     "Job",
     "JobQueue",
     "job_status",
@@ -59,12 +59,6 @@ __all__ = [
 ]
 
 _LOG = get_logger("server.queue")
-
-#: Deprecated alias of :class:`repro.api.schemas.SolveRequestV1` — the
-#: request schema now lives in the transport-agnostic :mod:`repro.api`
-#: package; import it from there in new code.
-SolveRequest = SolveRequestV1
-
 
 class Job:
     """An admitted request: a waitable handle with result / exception.
@@ -86,7 +80,7 @@ class Job:
     DONE = "done"
     FAILED = "failed"
 
-    def __init__(self, job_id: int, request: SolveRequest) -> None:
+    def __init__(self, job_id: int, request: SolveRequestV1) -> None:
         self.id = job_id
         self.request = request
         self.state = Job.PENDING
@@ -211,7 +205,7 @@ class JobQueue:
             return not self._heap and self._inflight == 0
 
     # -- admission ----------------------------------------------------------
-    def submit(self, request: SolveRequest, *, trace_id: str | None = None,
+    def submit(self, request: SolveRequestV1, *, trace_id: str | None = None,
                root_span=None) -> Job:
         """Admit ``request`` or raise :class:`AdmissionError` with a reason.
 

@@ -79,7 +79,7 @@ from repro.sparse.csr import validate_square
 from repro.sparse.fingerprint import matrix_fingerprint
 from repro.sparse.splitting import jacobi_splitting
 
-__all__ = ["SolveResponse", "Scheduler", "end_job_trace"]
+__all__ = ["Scheduler", "end_job_trace"]
 
 _LOG = get_logger("server.scheduler")
 
@@ -96,12 +96,6 @@ def end_job_trace(tracer, job: Job, **attributes) -> None:
         return
     job.root_span = None
     tracer.end(root, **attributes)
-
-
-#: Deprecated alias of :class:`repro.api.schemas.SolveResponseV1` — the
-#: response schema now lives in the transport-agnostic :mod:`repro.api`
-#: package; import it from there in new code.
-SolveResponse = SolveResponseV1
 
 
 @dataclass

@@ -33,8 +33,7 @@ import threading
 import time
 import uuid
 
-from repro.api.schemas import SolveRequestV1 as SolveRequest
-from repro.api.schemas import SolveResponseV1 as SolveResponse
+from repro.api.schemas import SolveRequestV1, SolveResponseV1
 from repro.api.versioning import SCHEMA_VERSION, version_stamp
 from repro.exceptions import ParameterError
 from repro.logging_utils import get_logger
@@ -116,6 +115,12 @@ class SolveServer:
     learn_config:
         Optional :class:`~repro.learn.trainer.LearnConfig` overriding the
         training cadence/budget defaults.
+    max_tracked_jobs:
+        Retention bound of the submitted-job registry behind
+        :meth:`find_job` (``GET /v1/jobs/<id>``, ``InProcessClient.job``).
+        Beyond it the oldest *finished* jobs — and their solution vectors —
+        are evicted; pending jobs never are (their count is already bounded
+        by the admission queue).
     """
 
     def __init__(self, *, store: ObservationStore | str | None = None,
@@ -131,7 +136,8 @@ class SolveServer:
                  tracer=None,
                  learn: bool = False,
                  model_dir: str | None = None,
-                 learn_config=None) -> None:
+                 learn_config=None,
+                 max_tracked_jobs: int = 4096) -> None:
         # Stable identity of *this server instance*: a restarted replica
         # gets a fresh id (and a later started_at), which is how the fleet
         # router detects silent restarts — the restarted replica's
@@ -169,6 +175,9 @@ class SolveServer:
         self._worker: threading.Thread | None = None
         self._stop = threading.Event()
         self._lock = threading.Lock()
+        self._jobs: dict[int, Job] = {}
+        self._jobs_lock = threading.Lock()
+        self._max_tracked_jobs = max(int(max_tracked_jobs), 1)
         if self.trainer is not None:
             # Background retraining starts only after the server is fully
             # wired; the synchronous warm-store bootstrap already ran.
@@ -224,7 +233,7 @@ class SolveServer:
                 _LOG.exception("bootstrap training failed; serving without it")
 
     # -- synchronous serving -------------------------------------------------
-    def solve(self, request: SolveRequest) -> SolveResponse:
+    def solve(self, request: SolveRequestV1) -> SolveResponseV1:
         """Serve one request immediately in the calling thread.
 
         Runs through the exact scheduler path a queued batch takes (policy,
@@ -241,7 +250,7 @@ class SolveServer:
         return job.result()
 
     # -- queued serving ------------------------------------------------------
-    def submit(self, request: SolveRequest) -> Job:
+    def submit(self, request: SolveRequestV1) -> Job:
         """Admit a request into the queue and return its job handle.
 
         Raises :class:`~repro.server.queue.AdmissionError` (with a reason)
@@ -250,13 +259,31 @@ class SolveServer:
         call :meth:`drain` to force completion of everything admitted.
         """
         job = self._admit(request)
+        self._track(job)
         if self._background:
             self._ensure_worker()
         return job
 
-    def submit_many(self, requests: list[SolveRequest]) -> list[Job]:
+    def submit_many(self, requests: list[SolveRequestV1]) -> list[Job]:
         """Submit several requests; admission failures abort the remainder."""
         return [self.submit(request) for request in requests]
+
+    def find_job(self, job_id: int) -> Job | None:
+        """The submitted job of ``job_id``, or ``None`` once evicted or
+        never submitted here (see ``max_tracked_jobs``)."""
+        with self._jobs_lock:
+            return self._jobs.get(job_id)
+
+    def _track(self, job: Job) -> None:
+        with self._jobs_lock:
+            self._jobs[job.id] = job
+            overflow = len(self._jobs) - self._max_tracked_jobs
+            if overflow > 0:
+                # dicts iterate in insertion order: oldest first.
+                evictable = [job_id for job_id, tracked in self._jobs.items()
+                             if tracked.done()]
+                for job_id in evictable[:overflow]:
+                    del self._jobs[job_id]
 
     # -- lifecycle -----------------------------------------------------------
     def start(self) -> None:
@@ -387,7 +414,7 @@ class SolveServer:
         return payload
 
     # -- internals -----------------------------------------------------------
-    def _admit(self, request: SolveRequest) -> Job:
+    def _admit(self, request: SolveRequestV1) -> Job:
         tracer = self.tracer
         root = None
         trace_id = None

@@ -41,6 +41,7 @@ import zlib
 import numpy as np
 
 from repro.exceptions import ParameterError
+from repro.obs.prometheus import escape_label_value, unescape_label_value
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "render_label_key", "parse_label_key"]
@@ -53,12 +54,6 @@ DEFAULT_MAX_SAMPLES = 65_536
 _LABEL_NAME_RE = re.compile(r"[a-zA-Z_][a-zA-Z0-9_]*\Z")
 
 
-def _escape_label_value(value: str) -> str:
-    return (value.replace("\\", r"\\")
-            .replace('"', r"\"")
-            .replace("\n", r"\n"))
-
-
 def render_label_key(name: str, labels: dict[str, str]) -> str:
     """Canonical storage key for an instrument: ``name{k="v",...}``.
 
@@ -69,28 +64,13 @@ def render_label_key(name: str, labels: dict[str, str]) -> str:
     """
     if not labels:
         return name
-    inner = ",".join(f'{key}="{_escape_label_value(value)}"'
+    inner = ",".join(f'{key}="{escape_label_value(value)}"'
                      for key, value in sorted(labels.items()))
     return f"{name}{{{inner}}}"
 
 
 _LABEL_ITEM_RE = re.compile(
     r'(?P<key>[a-zA-Z_][a-zA-Z0-9_]*)="(?P<value>(?:[^"\\]|\\.)*)"(?:,|\Z)')
-
-
-def _unescape_label_value(value: str) -> str:
-    out: list[str] = []
-    i = 0
-    while i < len(value):
-        ch = value[i]
-        if ch == "\\" and i + 1 < len(value):
-            nxt = value[i + 1]
-            out.append({"n": "\n", "\\": "\\", '"': '"'}.get(nxt, "\\" + nxt))
-            i += 2
-        else:
-            out.append(ch)
-            i += 1
-    return "".join(out)
 
 
 def parse_label_key(key: str) -> tuple[str, dict[str, str]]:
@@ -112,7 +92,7 @@ def parse_label_key(key: str) -> tuple[str, dict[str, str]]:
         if match is None:
             raise ParameterError(
                 f"malformed instrument key {key!r} at offset {pos}")
-        labels[match.group("key")] = _unescape_label_value(
+        labels[match.group("key")] = unescape_label_value(
             match.group("value"))
         pos = match.end()
     return name, labels

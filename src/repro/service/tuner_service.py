@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
 import scipy.sparse as sp
 
 from repro.core.evaluation import (
@@ -160,8 +161,8 @@ class TuningService:
             request.matrix, request.name, settings=self.settings,
             seed=request.seed, cache=self.cache, store=self.store)
         fingerprint = evaluator.fingerprint
-        self.store.register_matrix(fingerprint, request.name,
-                                   feature_vector(request.matrix))
+        features = feature_vector(request.matrix)
+        self.store.register_matrix(fingerprint, request.name, features)
 
         # Only records measured under the *same regime* (solver settings +
         # rhs) are comparable: reusing or recommending from a store filled
@@ -178,7 +179,8 @@ class TuningService:
             for record in stored}
 
         candidates, neighbour = self._plan_candidates(
-            request, fingerprint, known_hashes=set(origins), origins=origins)
+            request, fingerprint, features, known_hashes=set(origins),
+            origins=origins)
         measured: list[PerformanceRecord] = []
         for index, parameters in enumerate(candidates):
             measured.append(evaluator.evaluate(
@@ -199,8 +201,9 @@ class TuningService:
         )
 
     # -- candidate planning -------------------------------------------------
-    def _plan_candidates(self, request: TuningRequest, fingerprint: str, *,
-                         known_hashes: set[str], origins: dict[str, str]
+    def _plan_candidates(self, request: TuningRequest, fingerprint: str,
+                         features: np.ndarray, *, known_hashes: set[str],
+                         origins: dict[str, str]
                          ) -> tuple[list[MCMCParameters],
                                     tuple[str, float] | None]:
         """Candidates to measure: neighbour warm start, then fresh samples.
@@ -214,7 +217,8 @@ class TuningService:
 
         candidates: list[MCMCParameters] = []
         seen = set(known_hashes)
-        neighbour = self._nearest_neighbour(request.matrix, fingerprint)
+        neighbour = self._nearest_neighbour(request.matrix, fingerprint,
+                                            features)
         if neighbour is not None:
             neighbour_fingerprint, _name, _distance = neighbour
             donations = sorted(
@@ -254,17 +258,23 @@ class TuningService:
         neighbour_info = (neighbour[1], neighbour[2]) if neighbour else None
         return candidates, neighbour_info
 
-    def _nearest_neighbour(self, matrix: sp.spmatrix, fingerprint: str
+    def _nearest_neighbour(self, matrix: sp.spmatrix, fingerprint: str,
+                           features: np.ndarray | None = None
                            ) -> tuple[str, str, float] | None:
-        """Closest *other* registered matrix in standardised feature space."""
+        """Closest *other* registered matrix in standardised feature space.
+
+        ``features`` is ``matrix``'s feature vector when the caller already
+        has it; it is computed here only if some neighbour exists.
+        """
         entries = [entry for fp, entry in self.store.matrix_entries().items()
                    if fp != fingerprint and entry.features is not None
                    and self.store.query(fingerprint=fp)]
-        found = nearest_feature_neighbour(
-            [entry.features for entry in entries], feature_vector(matrix))
-        if found is None:
+        if not entries:
             return None
-        best, distance = found
+        if features is None:
+            features = feature_vector(matrix)
+        best, distance = nearest_feature_neighbour(
+            [entry.features for entry in entries], features)
         return entries[best].fingerprint, entries[best].name, distance
 
     # -- recommendation -----------------------------------------------------

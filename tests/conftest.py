@@ -18,6 +18,12 @@ from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_dif
 from repro.mcmc.parameters import MCMCParameters, paper_parameter_grid
 
 
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers", "slow: end-to-end pipeline test taking tens of seconds "
+                   "(deselect with -m 'not slow')")
+
+
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(0)

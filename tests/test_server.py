@@ -9,14 +9,18 @@ served synchronously or through the queue.
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro.api import SolveRequestV1
 from repro.krylov import solve
 from repro.matrices import laplacian_2d, pdd_real_sparse, unsteady_advection_diffusion
 from repro.parallel.executor import ThreadExecutor
-from repro.server import AdmissionError, SolveRequest, SolveServer
+from repro.server import AdmissionError, SolveServer
 from repro.service.cache import ArtifactCache
 from repro.service.store import ObservationStore
 from repro.sparse.fingerprint import matrix_fingerprint
@@ -40,9 +44,9 @@ class TestSharedBuilds:
         server = _server(cache=cache, executor=ThreadExecutor(n_threads=2))
         rng = np.random.default_rng(0)
         jobs = server.submit_many([
-            SolveRequest(matrix=dominant_matrix,
-                         rhs=rng.standard_normal(dominant_matrix.shape[0]),
-                         tag=f"r{index}")
+            SolveRequestV1(matrix=dominant_matrix,
+                           rhs=rng.standard_normal(dominant_matrix.shape[0]),
+                           tag=f"r{index}")
             for index in range(2)])
         assert server.drain(timeout=30.0)
         responses = [job.result(timeout=1.0) for job in jobs]
@@ -57,9 +61,10 @@ class TestSharedBuilds:
         cache = ArtifactCache(max_entries=32)
         server = _server(cache=cache)
         n = dominant_matrix.shape[0]
-        server.solve(SolveRequest(matrix=dominant_matrix, rhs=np.ones(n)))
+        server.solve(SolveRequestV1(matrix=dominant_matrix, rhs=np.ones(n)))
         hits_before = cache.stats.hits
-        server.solve(SolveRequest(matrix=dominant_matrix, rhs=np.arange(n) * 1.0))
+        server.solve(SolveRequestV1(matrix=dominant_matrix,
+                                    rhs=np.arange(n) * 1.0))
         assert cache.stats.builds == 1
         assert cache.stats.hits > hits_before
         server.shutdown()
@@ -71,8 +76,8 @@ class TestSharedBuilds:
         rhs_a = np.ones(n)
         rhs_b = np.linspace(0.5, 2.0, n)
         jobs = server.submit_many([
-            SolveRequest(matrix=dominant_matrix, rhs=rhs_a, tag="a"),
-            SolveRequest(matrix=dominant_matrix, rhs=rhs_b, tag="b"),
+            SolveRequestV1(matrix=dominant_matrix, rhs=rhs_a, tag="a"),
+            SolveRequestV1(matrix=dominant_matrix, rhs=rhs_b, tag="b"),
         ])
         assert server.drain(timeout=30.0)
         response_a, response_b = (job.result(timeout=1.0) for job in jobs)
@@ -90,7 +95,7 @@ class TestSharedBuilds:
 
 
 class TestDeterminism:
-    def _stream(self) -> list[SolveRequest]:
+    def _stream(self) -> list[SolveRequestV1]:
         matrices = [
             laplacian_2d(8),                                   # spd -> ic0/cg
             pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1),  # jacobi
@@ -101,7 +106,7 @@ class TestDeterminism:
         for round_index in range(2):
             for matrix_index, matrix in enumerate(matrices):
                 rhs = rng.standard_normal(matrix.shape[0])
-                requests.append(SolveRequest(
+                requests.append(SolveRequestV1(
                     matrix=matrix, rhs=rhs, maxiter=400,
                     priority=round_index,
                     tag=f"m{matrix_index}round{round_index}"))
@@ -154,8 +159,8 @@ class TestStoreIntegration:
         server = _server(store=store)
         rng = np.random.default_rng(1)
         jobs = server.submit_many([
-            SolveRequest(matrix=matrix, rhs=rng.standard_normal(30),
-                         maxiter=200, tag=f"j{index}")
+            SolveRequestV1(matrix=matrix, rhs=rng.standard_normal(30),
+                           maxiter=200, tag=f"j{index}")
             for index in range(3)])
         assert server.drain(timeout=60.0)
         assert all(job.done() for job in jobs)
@@ -177,10 +182,10 @@ class TestStoreIntegration:
         matrix = self._mcmc_matrix()
         store = ObservationStore(tmp_path / "store")
         server = _server(store=store)
-        response = server.solve(SolveRequest(matrix=matrix, maxiter=200))
+        response = server.solve(SolveRequestV1(matrix=matrix, maxiter=200))
         assert response.provenance["origin"] == "rule"
         server.refresh_policy()
-        warm = server.solve(SolveRequest(matrix=matrix, maxiter=200))
+        warm = server.solve(SolveRequestV1(matrix=matrix, maxiter=200))
         assert warm.provenance["origin"] == "stored"
         server.shutdown()
 
@@ -188,9 +193,9 @@ class TestStoreIntegration:
 class TestBackpressureAndFailures:
     def test_queue_full_rejection_counted(self, dominant_matrix):
         server = _server(max_queue_depth=1)
-        server.submit(SolveRequest(matrix=dominant_matrix))
+        server.submit(SolveRequestV1(matrix=dominant_matrix))
         with pytest.raises(AdmissionError) as excinfo:
-            server.submit(SolveRequest(matrix=dominant_matrix))
+            server.submit(SolveRequestV1(matrix=dominant_matrix))
         assert excinfo.value.reason == "queue_full"
         snapshot = server.telemetry_snapshot()
         assert snapshot["counters"]["rejected.queue_full"] == 1
@@ -203,7 +208,7 @@ class TestBackpressureAndFailures:
         bad_rhs = np.full(dominant_matrix.shape[0], np.nan)
         server = _server()
         with pytest.raises(AdmissionError) as excinfo:
-            server.submit(SolveRequest(matrix=dominant_matrix, rhs=bad_rhs))
+            server.submit(SolveRequestV1(matrix=dominant_matrix, rhs=bad_rhs))
         assert excinfo.value.reason == "invalid"
         server.shutdown()
 
@@ -222,8 +227,9 @@ class TestBackpressureAndFailures:
             return original(group)
 
         monkeypatch.setattr(server.scheduler, "_run_group", sabotage)
-        bad = server.submit(SolveRequest(matrix=dominant_matrix, tag="bad"))
-        good = server.submit(SolveRequest(matrix=laplacian_2d(6), tag="good"))
+        bad = server.submit(SolveRequestV1(matrix=dominant_matrix, tag="bad"))
+        good = server.submit(SolveRequestV1(matrix=laplacian_2d(6),
+                                            tag="good"))
         server.drain(timeout=30.0)
         assert good.result(timeout=1.0).converged
         assert bad.done()
@@ -233,13 +239,58 @@ class TestBackpressureAndFailures:
 
     def test_telemetry_snapshot_shape(self, dominant_matrix):
         server = _server()
-        server.solve(SolveRequest(matrix=dominant_matrix))
+        server.solve(SolveRequestV1(matrix=dominant_matrix))
         snapshot = server.telemetry_snapshot()
         assert snapshot["counters"]["solves_total"] == 1
         assert "solve.latency_ms" in snapshot["histograms"]
         assert "solve.iterations" in snapshot["histograms"]
         assert snapshot["queue"]["admitted"] == 1
         assert snapshot["artifact_cache"]["builds"] >= 1
+        server.shutdown()
+
+
+class TestJobRegistry:
+    def test_concurrent_submits_keep_the_registry_consistent(self):
+        """More submitting threads than cores, a busy worker finishing and
+        evicting jobs meanwhile, and a tiny switch interval: no submitted
+        job is lost while pending, and the bound holds afterwards."""
+        server = SolveServer(cache=ArtifactCache(max_entries=8),
+                             max_tracked_jobs=4)
+        submitted: list = []
+        errors: list = []
+
+        def submit_some(thread_index: int) -> None:
+            try:
+                for index in range(10):
+                    job = server.submit(SolveRequestV1(
+                        matrix=laplacian_2d(4), tag=f"t{thread_index}/{index}"))
+                    found = server.find_job(job.id)
+                    # only a finished job may already have been evicted
+                    assert found is job or job.done()
+                    submitted.append(job)
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=submit_some, args=(index,))
+                       for index in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert server.drain(timeout=60.0)
+        assert all(job.done() for job in submitted)
+        last = server.submit(SolveRequestV1(matrix=laplacian_2d(4)))
+        tracked = [job for job in submitted + [last]
+                   if server.find_job(job.id) is job]
+        assert last in tracked
+        assert len(tracked) <= 4
         server.shutdown()
 
 
@@ -253,7 +304,7 @@ class TestReviewRegressions:
     def test_scheduler_crash_fails_jobs_instead_of_none_result(
             self, dominant_matrix, monkeypatch):
         server = _server()
-        job = server.submit(SolveRequest(matrix=dominant_matrix))
+        job = server.submit(SolveRequestV1(matrix=dominant_matrix))
 
         def boom(batch):
             raise RuntimeError("executor exploded")
@@ -270,8 +321,8 @@ class TestReviewRegressions:
         server = _server()
         n = dominant_matrix.shape[0]
         jobs = server.submit_many([
-            SolveRequest(matrix=dominant_matrix, rhs=np.ones(n)),
-            SolveRequest(matrix=dominant_matrix, rhs=np.arange(n) * 1.0),
+            SolveRequestV1(matrix=dominant_matrix, rhs=np.ones(n)),
+            SolveRequestV1(matrix=dominant_matrix, rhs=np.arange(n) * 1.0),
         ])
         assert server.drain(timeout=30.0)
         assert all(job.result(timeout=1.0).batch_size == 2 for job in jobs)

@@ -6,10 +6,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import SolveRequestV1
 from repro.exceptions import ParameterError
 from repro.krylov import solve
 from repro.matrices import laplacian_2d, pdd_real_sparse
-from repro.server import SolveRequest, SolveServer
+from repro.server import SolveServer
 from repro.service.cache import ArtifactCache
 
 
@@ -21,8 +22,9 @@ def _server(**kwargs) -> SolveServer:
 
 def _requests(matrix, k, *, seed=0, **fields):
     rng = np.random.default_rng(seed)
-    return [SolveRequest(matrix=matrix, rhs=rng.standard_normal(matrix.shape[0]),
-                         tag=f"r{index}", **fields)
+    return [SolveRequestV1(matrix=matrix,
+                           rhs=rng.standard_normal(matrix.shape[0]),
+                           tag=f"r{index}", **fields)
             for index in range(k)]
 
 
@@ -106,9 +108,9 @@ class TestServerBlockMode:
         rng = np.random.default_rng(3)
         n = spd_matrix.shape[0]
         jobs = server.submit_many(
-            [SolveRequest(matrix=spd_matrix, rhs=rng.standard_normal(n),
-                          solver="cg", preconditioner="none",
-                          batch_mode=mode, tag=f"{mode}{index}")
+            [SolveRequestV1(matrix=spd_matrix, rhs=rng.standard_normal(n),
+                            solver="cg", preconditioner="none",
+                            batch_mode=mode, tag=f"{mode}{index}")
              for mode in ("loop", "block") for index in range(2)])
         assert server.drain(timeout=60.0)
         responses = [job.result(timeout=1.0) for job in jobs]
@@ -152,12 +154,12 @@ class TestServerBlockMode:
         rng = np.random.default_rng(5)
         n = spd_matrix.shape[0]
         server = _server(batch_mode="block")
-        requests = [SolveRequest(matrix=spd_matrix, rhs=vectors[:, 0],
-                                 solver="cg", preconditioner="none",
-                                 tag="easy")]
-        requests += [SolveRequest(matrix=spd_matrix,
-                                  rhs=rng.standard_normal(n), solver="cg",
-                                  preconditioner="none", tag=f"hard{index}")
+        requests = [SolveRequestV1(matrix=spd_matrix, rhs=vectors[:, 0],
+                                   solver="cg", preconditioner="none",
+                                   tag="easy")]
+        requests += [SolveRequestV1(matrix=spd_matrix,
+                                    rhs=rng.standard_normal(n), solver="cg",
+                                    preconditioner="none", tag=f"hard{index}")
                      for index in range(2)]
         jobs = server.submit_many(requests)
         assert server.drain(timeout=60.0)
@@ -175,7 +177,7 @@ class TestServerBlockMode:
 
         server = _server()
         with pytest.raises(AdmissionError) as excinfo:
-            server.submit(SolveRequest(matrix=spd_matrix,
-                                       batch_mode="vectorised"))
+            server.submit(SolveRequestV1(matrix=spd_matrix,
+                                         batch_mode="vectorised"))
         assert excinfo.value.reason == "invalid"
         server.shutdown()

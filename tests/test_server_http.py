@@ -264,29 +264,56 @@ class TestErrorMapping:
         assert ErrorEnvelope.from_json_dict(payload).code == "bad_request"
 
 
+@pytest.fixture(params=["http", "inprocess"])
+def bounded_registry(request):
+    """A client plus its background-free server, which retains at most two
+    submitted jobs; over HTTP and in process alike."""
+    if request.param == "http":
+        http_server = _http_server(background=False,
+                                   max_tracked_jobs=2).start()
+        yield HTTPClient(http_server.url), http_server.solve_server
+        http_server.shutdown()
+    else:
+        client = InProcessClient(cache=ArtifactCache(max_entries=32),
+                                 background=False, max_tracked_jobs=2)
+        yield client, client.server
+        client.close()
+
+
 class TestJobRegistryBound:
-    def test_finished_jobs_evicted_beyond_the_bound(self):
-        with _http_server(background=False,
-                          max_tracked_jobs=2) as http_server:
-            client = HTTPClient(http_server.url)
-            job_ids = [client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
-                                                    tag=f"j{index}"))
-                       for index in range(3)]
-            http_server.solve_server.drain(timeout=60.0)
-            # a fourth submit pushes the registry over its bound and evicts
-            # the oldest finished jobs
-            extra = client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
-                                                 tag="extra"))
-            http_server.solve_server.drain(timeout=60.0)
-            assert client.job(extra).state == "done"
-            evicted = 0
-            for job_id in job_ids:
-                try:
-                    client.job(job_id)
-                except RemoteSolveError as error:
-                    assert error.envelope.code == "not_found"
-                    evicted += 1
-            assert evicted >= 1  # retention is bounded, oldest went first
+    def test_finished_jobs_evicted_beyond_the_bound(self, bounded_registry):
+        client, solve_server = bounded_registry
+        job_ids = [client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
+                                                tag=f"j{index}"))
+                   for index in range(3)]
+        solve_server.drain(timeout=60.0)
+        # a fourth submit pushes the registry over its bound and evicts
+        # the oldest finished jobs
+        extra = client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
+                                             tag="extra"))
+        solve_server.drain(timeout=60.0)
+        assert client.job(extra).state == "done"
+        evicted = 0
+        for job_id in job_ids:
+            try:
+                client.job(job_id)
+            except RemoteSolveError as error:
+                assert error.envelope.code == "not_found"
+                evicted += 1
+        assert evicted >= 1  # retention is bounded, oldest went first
+
+    def test_pending_jobs_are_never_evicted(self, bounded_registry):
+        client, solve_server = bounded_registry
+        # nothing runs until drain, so every submit past the second
+        # overflows the bound with no finished job to evict
+        job_ids = [client.submit(SolveRequestV1(matrix="2DFDLaplace_16",
+                                                tag=f"p{index}"))
+                   for index in range(4)]
+        assert [client.job(job_id).state for job_id in job_ids] == \
+            ["pending"] * 4
+        solve_server.drain(timeout=60.0)
+        assert [client.job(job_id).state for job_id in job_ids] == \
+            ["done"] * 4
 
 
 class TestCrossTransportDeterminism:

@@ -92,6 +92,48 @@ class TestRuleTable:
         json.dumps(decision.provenance())
 
 
+def _fragile_matrix() -> sp.csr_matrix:
+    dense = np.random.default_rng(0).standard_normal((30, 30))
+    np.fill_diagonal(dense, 0.05)
+    return sp.csr_matrix(dense)
+
+
+class TestStorelessPolicySkipsFeatures:
+    """Without a store the warm-start pool is empty, so the policy must not
+    pay for a feature vector it would compare against nothing."""
+
+    @pytest.mark.parametrize("matrix, family, rule", [
+        (laplacian_2d(8), "ic0", "spd"),
+        (pdd_real_sparse(40, density=0.2, dominance=3.0, seed=1),
+         "jacobi", "strong_diagonal_dominance"),
+        (pdd_real_sparse(40, density=0.2, dominance=1.2, seed=1),
+         "neumann", "diagonal_dominance"),
+        (pdd_real_sparse(40, density=0.2, dominance=0.8, seed=1),
+         "ilu0", "general"),
+        (_fragile_matrix(), "mcmc", "fragile_pivots"),
+        (sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 0.0]])),
+         "spai", "zero_diagonal"),
+    ], ids=["spd", "strong", "dominant", "general", "fragile", "zero_diag"])
+    def test_rule_ladder_never_computes_features(self, monkeypatch, matrix,
+                                                 family, rule):
+        import repro.server.policy as policy_module
+
+        calls = []
+
+        def counting_feature_vector(*args, **kwargs):
+            calls.append(args)
+            return feature_vector(*args, **kwargs)
+
+        monkeypatch.setattr(policy_module, "feature_vector",
+                            counting_feature_vector)
+        policy = PreconditionerPolicy()
+        decision = policy.decide(matrix, matrix_fingerprint(matrix))
+        assert calls == []
+        assert (decision.family, decision.rule) == (family, rule)
+        assert decision.origin == ORIGIN_RULE
+        assert decision == policy._rule_decision(matrix, None)
+
+
 def _store_with(tmp_path, matrix, name, parameters_to_y: dict) -> ObservationStore:
     store = ObservationStore(tmp_path / "store")
     fingerprint = matrix_fingerprint(matrix)

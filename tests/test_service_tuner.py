@@ -103,6 +103,27 @@ class TestWarmStart:
         assert result.recommendation.neighbour_name == "lap8"
         assert result.recommendation.neighbour_distance is not None
 
+    def test_warm_started_request_computes_features_once(
+            self, service, small_spd, monkeypatch):
+        import repro.service.tuner_service as tuner_module
+
+        service.tune_batch([TuningRequest(matrix=small_spd, name="lap8",
+                                          budget=2, n_replications=1, seed=0)])
+        calls = []
+        original = tuner_module.feature_vector
+
+        def counting_feature_vector(matrix):
+            calls.append(matrix.shape)
+            return original(matrix)
+
+        monkeypatch.setattr(tuner_module, "feature_vector",
+                            counting_feature_vector)
+        similar = laplacian_2d(9)
+        [result] = service.tune_batch([TuningRequest(
+            matrix=similar, name="lap9", budget=2, n_replications=1, seed=1)])
+        assert result.recommendation.neighbour_name == "lap8"
+        assert calls == [similar.shape]
+
     def test_nearest_neighbour_prefers_similar_structure(self, service):
         lap_a = laplacian_2d(8)
         pdd = pdd_real_sparse(40, density=0.2, dominance=2.0, seed=1)
