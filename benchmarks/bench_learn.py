@@ -33,6 +33,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.core.evaluation import PerformanceRecord
+from repro.core.training import TrainingConfig
 from repro.krylov.solve import solve
 from repro.learn import (
     LearnConfig,
@@ -169,8 +170,12 @@ def bench_learn(tmp_root: str) -> dict:
     # effects but serves the interaction inverted.
     trainer = SurrogateTrainer(
         store, registry, bank=bank,
-        config=LearnConfig(min_records=24, epochs=600, patience=600,
-                           learning_rate=8e-4, interval_s=60.0),
+        config=LearnConfig(
+            min_records=24, interval_s=60.0,
+            training=TrainingConfig(epochs=600, batch_size=64,
+                                    learning_rate=8e-4,
+                                    validation_fraction=0.25, patience=600,
+                                    min_epochs=5)),
         on_publish=lambda model, dataset, version, meta:
             surrogate.update(model, dataset, version, meta))
     version = trainer.train_generation()

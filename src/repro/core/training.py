@@ -15,6 +15,7 @@ validation loss with best-weight restoration.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -33,7 +34,11 @@ _LOG = get_logger("core.training")
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Optimisation hyperparameters of the surrogate."""
+    """Optimisation hyperparameters of the surrogate.
+
+    The training set is reshuffled every epoch from a generator seeded with
+    ``seed``, which also seeds the train/validation split.
+    """
 
     epochs: int = 100
     batch_size: int = 128
@@ -42,8 +47,20 @@ class TrainingConfig:
     validation_fraction: float = 0.2
     patience: int = 20
     min_epochs: int = 10
-    shuffle: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.epochs < 1:
+            raise SurrogateError(f"epochs must be >= 1, got {self.epochs}")
+        if self.batch_size < 1:
+            raise SurrogateError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not 0.0 < self.validation_fraction < 1.0:
+            raise SurrogateError("validation_fraction must lie in (0, 1), got "
+                                 f"{self.validation_fraction}")
+        if self.patience < 0:
+            raise SurrogateError(f"patience must be >= 0, got {self.patience}")
+        if self.min_epochs < 0:
+            raise SurrogateError(f"min_epochs must be >= 0, got {self.min_epochs}")
 
     @classmethod
     def paper(cls, *, seed: int = 0) -> "TrainingConfig":
@@ -109,15 +126,27 @@ class Trainer:
     # -- main loop -------------------------------------------------------------------
     def fit(self, model: GraphNeuralSurrogate, dataset: SurrogateDataset, *,
             train_indices: np.ndarray | None = None,
-            validation_indices: np.ndarray | None = None) -> TrainingHistory:
+            validation_indices: np.ndarray | None = None,
+            start_epoch: int = 0,
+            on_epoch: Callable[[int, TrainingHistory], bool | None] | None = None,
+            ) -> TrainingHistory:
         """Train ``model`` in place and return the loss history.
 
         When the index splits are not supplied, the dataset's random
         80/20 split (seeded from the training config) is used.
+
+        ``start_epoch`` resumes a run whose first ``start_epoch`` epochs
+        produced the weights ``model`` holds: the shuffle generator is
+        advanced past those epochs, so the resumed run walks the batch order
+        of the uninterrupted one (Adam's moments restart from zero), and the
+        best-so-far is the loaded model's validation loss.  ``on_epoch`` is
+        called as ``on_epoch(epoch, history)`` after each epoch's
+        bookkeeping; returning ``True`` stops training, and an exception it
+        raises propagates with the model left at its current weights.
         """
         config = self.config
-        if config.epochs < 1:
-            raise SurrogateError(f"epochs must be >= 1, got {config.epochs}")
+        if start_epoch < 0:
+            raise SurrogateError(f"start_epoch must be >= 0, got {start_epoch}")
         if train_indices is None or validation_indices is None:
             train_indices, validation_indices = dataset.split(
                 config.validation_fraction, seed=config.seed)
@@ -127,16 +156,24 @@ class Trainer:
         optimizer = Adam(model.parameters(), lr=config.learning_rate,
                          weight_decay=config.weight_decay)
         rng = np.random.default_rng(config.seed)
+        # A shuffle's draws depend only on the array length, so shuffling a
+        # scratch array replays the skipped epochs' draws exactly.
+        scratch = np.empty(train_indices.size)
+        for _ in range(start_epoch):
+            rng.shuffle(scratch)
         history = TrainingHistory()
         best_state = model.state_dict()
         validation_batch = dataset.batch_from_indices(validation_indices)
+        if start_epoch > 0:
+            history.best_validation_loss = self.evaluate_loss(model,
+                                                              validation_batch)
+            history.best_epoch = start_epoch - 1
         epochs_without_improvement = 0
 
         model.train()
-        for epoch in range(config.epochs):
+        for epoch in range(start_epoch, config.epochs):
             order = train_indices.copy()
-            if config.shuffle:
-                rng.shuffle(order)
+            rng.shuffle(order)
             epoch_losses: list[float] = []
             for start in range(0, order.size, config.batch_size):
                 batch = dataset.batch_from_indices(order[start:start + config.batch_size])
@@ -161,6 +198,9 @@ class Trainer:
             if (epoch + 1) % 25 == 0 or epoch == config.epochs - 1:
                 _LOG.debug("epoch %d: train %.4f, val %.4f", epoch, train_loss,
                            validation_loss)
+            if on_epoch is not None and on_epoch(epoch, history):
+                history.stopped_early = True
+                break
             if (epoch + 1 >= config.min_epochs
                     and epochs_without_improvement >= config.patience):
                 history.stopped_early = True

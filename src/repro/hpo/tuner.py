@@ -6,6 +6,12 @@ aggregation, hidden widths, layer counts, learning rate, weight decay,
 dropout), an ASHA scheduler stops unpromising trials early based on the
 validation loss per epoch, and the best configuration by final validation loss
 wins.
+
+Each trial is one :meth:`repro.core.training.Trainer.fit` run over the full
+epoch budget; its per-epoch callback reports the best validation loss to
+ASHA every ``epochs_per_report`` epochs and stops the run when ASHA stops
+the trial, so a trial keeps one optimizer and one shuffle sequence from
+its first epoch to its last.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ import numpy as np
 
 from repro.core.dataset import SurrogateDataset
 from repro.core.surrogate import GraphNeuralSurrogate, SurrogateConfig
-from repro.core.training import Trainer, TrainingConfig
+from repro.core.training import Trainer, TrainingConfig, TrainingHistory
 from repro.exceptions import SearchSpaceError
 from repro.hpo.asha import ASHAScheduler, TrialStatus
 from repro.hpo.space import Choice, IntUniform, LogUniform, SearchSpace, Uniform
@@ -146,25 +152,26 @@ class SurrogateHPO:
         surrogate_config = _to_surrogate_config(config, self.dataset, seed=self.seed)
         model = GraphNeuralSurrogate(surrogate_config)
         train_indices, validation_indices = self.dataset.split(0.2, seed=self.seed)
-        best_validation = float("inf")
-        epochs_done = 0
-        while epochs_done < self.max_epochs:
-            chunk = min(self.epochs_per_report, self.max_epochs - epochs_done)
-            trainer = Trainer(TrainingConfig(
-                epochs=chunk, batch_size=128,
-                learning_rate=float(config["learning_rate"]),
-                weight_decay=float(config["weight_decay"]),
-                patience=10 ** 6,  # early stopping handled by ASHA here
-                min_epochs=1, seed=self.seed + trial_id))
-            history = trainer.fit(model, self.dataset,
-                                  train_indices=train_indices,
-                                  validation_indices=validation_indices)
-            epochs_done += history.epochs_run
-            best_validation = min(best_validation, history.best_validation_loss)
-            status = scheduler.report(trial_id, epochs_done, best_validation)
-            if status is not TrialStatus.RUNNING:
-                break
-        return best_validation
+        trainer = Trainer(TrainingConfig(
+            epochs=self.max_epochs, batch_size=128,
+            learning_rate=float(config["learning_rate"]),
+            weight_decay=float(config["weight_decay"]),
+            patience=10 ** 6,  # early stopping handled by ASHA here
+            min_epochs=1, seed=self.seed + trial_id))
+
+        def report(epoch: int, history: TrainingHistory) -> bool:
+            epochs_done = epoch + 1
+            if (epochs_done % self.epochs_per_report
+                    and epochs_done < self.max_epochs):
+                return False
+            status = scheduler.report(trial_id, epochs_done,
+                                      history.best_validation_loss)
+            return status is not TrialStatus.RUNNING
+
+        history = trainer.fit(model, self.dataset, train_indices=train_indices,
+                              validation_indices=validation_indices,
+                              on_epoch=report)
+        return history.best_validation_loss
 
     def run(self, n_trials: int = 8) -> HPOResult:
         """Run the search and return the best configuration found."""

@@ -80,17 +80,14 @@ class SurrogatePolicy:
     n_restarts:
         L-BFGS-B restarts per candidate slot.
     n_candidates:
-        EI candidates generated per proposal before selection.
-    exploit:
-        Serving-time selection mode.  ``True`` (default) serves the lowest
-        *predicted mean* among the EI candidates (clipped into the box of
-        parameters actually observed in the training data) and the distinct
-        observed parameter vectors themselves.  EI maximisation rewards
-        predictive uncertainty — the right thing for an offline tuning loop,
-        but a live request should get the configuration the model is most
-        confident is fast, and the model's mean is only trustworthy inside
-        the observed support.  ``False`` serves the raw top-EI candidate
-        (pure Algorithm 1 behaviour: exploration on traffic).
+        EI candidates generated per proposal before selection.  A proposal
+        serves the lowest *predicted mean* among these candidates (clipped
+        into the box of parameters actually observed in the training data)
+        and the distinct observed parameter vectors themselves.  EI
+        maximisation rewards predictive uncertainty — the right thing for an
+        offline tuning loop, but a live request should get the configuration
+        the model is most confident is fast, and the model's mean is only
+        trustworthy inside the observed support.
     max_sigma:
         Optional confidence gate: proposals whose predicted sigma exceeds it
         are rejected (the ladder falls through to warm start / rules).
@@ -101,13 +98,12 @@ class SurrogatePolicy:
 
     def __init__(self, *, bounds: ParameterBounds = DEFAULT_BOUNDS,
                  xi: float = 0.05, n_restarts: int = 2,
-                 n_candidates: int = 4, exploit: bool = True,
-                 max_sigma: float | None = None, telemetry=None) -> None:
+                 n_candidates: int = 4, max_sigma: float | None = None,
+                 telemetry=None) -> None:
         self.bounds = bounds
         self.xi = float(xi)
         self.n_restarts = int(n_restarts)
         self.n_candidates = max(int(n_candidates), 1)
-        self.exploit = bool(exploit)
         self.max_sigma = max_sigma
         self.telemetry = telemetry
         self._lock = threading.Lock()
@@ -229,20 +225,13 @@ class SurrogatePolicy:
             candidates = optimizer.propose(
                 matrix, name, n_candidates=self.n_candidates, xi=self.xi,
                 solver=proposal_solver)
-            if self.exploit:
-                candidates = self._exploitation_pool(
-                    optimizer, matrix, name, candidates, dataset,
-                    proposal_solver)
+            candidates = self._exploitation_pool(
+                optimizer, matrix, name, candidates, dataset, proposal_solver)
             candidates = [c for c in candidates if _is_finite(c)]
             if not candidates:
                 self._count("non_finite")
                 return None
-            if self.exploit:
-                candidate = min(candidates,
-                                key=lambda c: float(c.predicted_mean))
-            else:
-                candidate = max(candidates,
-                                key=lambda c: float(c.expected_improvement))
+            candidate = min(candidates, key=lambda c: float(c.predicted_mean))
         except Exception as exc:
             _LOG.warning("surrogate proposal failed for %s: %s",
                          fingerprint[:8], exc)

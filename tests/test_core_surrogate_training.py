@@ -153,6 +153,77 @@ class TestTrainer:
         with pytest.raises(SurrogateError):
             Trainer(TrainingConfig(epochs=0)).fit(model, tiny_dataset)
 
+    @pytest.mark.parametrize("field, value", [
+        ("epochs", 0),
+        ("batch_size", 0),
+        ("validation_fraction", 0.0),
+        ("validation_fraction", 1.0),
+        ("validation_fraction", -0.2),
+        ("patience", -1),
+        ("min_epochs", -1),
+    ])
+    def test_invalid_config_rejected_at_construction(self, field, value):
+        with pytest.raises(SurrogateError, match=field):
+            TrainingConfig(**{field: value})
+
+    def test_resume_walks_the_uninterrupted_batch_order(
+            self, tiny_dataset, tiny_surrogate_config, monkeypatch):
+        train_idx, val_idx = tiny_dataset.split(0.2, seed=0)
+        walked: list[tuple[int, ...]] = []
+        batch_from_indices = tiny_dataset.batch_from_indices
+
+        def recording(indices):
+            if tuple(indices) != tuple(val_idx):
+                walked.append(tuple(int(i) for i in indices))
+            return batch_from_indices(indices)
+
+        monkeypatch.setattr(tiny_dataset, "batch_from_indices", recording)
+        trainer = Trainer(TrainingConfig(epochs=6, batch_size=8, patience=100,
+                                         seed=0))
+        splits = dict(train_indices=train_idx, validation_indices=val_idx)
+
+        trainer.fit(GraphNeuralSurrogate(tiny_surrogate_config), tiny_dataset,
+                    **splits)
+        uninterrupted = list(walked)
+        walked.clear()
+
+        checkpoint = {}
+
+        def stop_after_epoch_2(epoch, history):
+            checkpoint.update(model.state_dict())
+            return epoch == 2
+
+        model = GraphNeuralSurrogate(tiny_surrogate_config)
+        first = trainer.fit(model, tiny_dataset, on_epoch=stop_after_epoch_2,
+                            **splits)
+        assert first.epochs_run == 3 and first.stopped_early
+        resumed_model = GraphNeuralSurrogate(tiny_surrogate_config)
+        resumed_model.load_state_dict(checkpoint)
+        resumed_loss = Trainer.evaluate_loss(
+            resumed_model, tiny_dataset.batch_from_indices(val_idx))
+        second = trainer.fit(resumed_model, tiny_dataset, start_epoch=3,
+                             **splits)
+
+        assert len(uninterrupted) == 6 * int(np.ceil(train_idx.size / 8))
+        assert walked == uninterrupted
+        assert second.epochs_run == 3
+        assert second.best_validation_loss <= resumed_loss
+
+    def test_on_epoch_exception_propagates(self, tiny_dataset,
+                                           tiny_surrogate_config):
+        epochs = []
+
+        def abort_at_epoch_1(epoch, history):
+            epochs.append(epoch)
+            if epoch == 1:
+                raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            Trainer(TrainingConfig(epochs=5, batch_size=8, seed=0)).fit(
+                GraphNeuralSurrogate(tiny_surrogate_config), tiny_dataset,
+                on_epoch=abort_at_epoch_1)
+        assert epochs == [0, 1]
+
     def test_paper_training_config(self):
         config = TrainingConfig.paper()
         assert config.epochs == 150

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+import repro.core.training
 from repro.core.surrogate import GraphNeuralSurrogate
 from repro.exceptions import SearchSpaceError
+from repro.hpo.asha import ASHAScheduler, TrialStatus
 from repro.hpo import Choice, IntUniform, LogUniform, SearchSpace, SurrogateHPO, Uniform
 
 
@@ -48,3 +50,45 @@ class TestSurrogateHPO:
                            grace_period=1)
         with pytest.raises(SearchSpaceError):
             hpo.run(n_trials=0)
+
+
+class TestTrialTraining:
+    def test_trial_is_one_optimizer_reporting_each_window(
+            self, tiny_dataset, micro_space, monkeypatch):
+        adam_builds = []
+        adam = repro.core.training.Adam
+
+        def counting_adam(*args, **kwargs):
+            adam_builds.append(1)
+            return adam(*args, **kwargs)
+
+        reports = []
+        report = ASHAScheduler.report
+
+        def recording_report(self, trial_id, resource, value):
+            reports.append(resource)
+            return report(self, trial_id, resource, value)
+
+        monkeypatch.setattr(repro.core.training, "Adam", counting_adam)
+        monkeypatch.setattr(ASHAScheduler, "report", recording_report)
+        hpo = SurrogateHPO(tiny_dataset, space=micro_space, max_epochs=4,
+                           grace_period=2, epochs_per_report=2, seed=0)
+        hpo.run(n_trials=1)
+        assert len(adam_builds) == 1
+        assert reports == [2, 4]
+
+    def test_trial_stopped_by_asha_stops_training(self, tiny_dataset,
+                                                  micro_space, monkeypatch):
+        reports = []
+
+        def stop_at_first_report(self, trial_id, resource, value):
+            reports.append(resource)
+            self._trials[trial_id].status = TrialStatus.STOPPED
+            return TrialStatus.STOPPED
+
+        monkeypatch.setattr(ASHAScheduler, "report", stop_at_first_report)
+        hpo = SurrogateHPO(tiny_dataset, space=micro_space, max_epochs=6,
+                           grace_period=2, epochs_per_report=2, seed=0)
+        result = hpo.run(n_trials=1)
+        assert reports == [2]
+        assert result.stopped_early == 1

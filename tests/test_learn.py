@@ -14,12 +14,14 @@ The suite drills the acceptance criteria of the learn subsystem:
 
 import json
 import threading
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from repro.api.schemas import SolveRequestV1, SolveResponseV1
 from repro.core.evaluation import PerformanceRecord
+from repro.core.training import TrainingConfig
 from repro.exceptions import LearnError
 from repro.learn import (
     LearnConfig,
@@ -66,8 +68,13 @@ def seed_store(path, matrix_names=("2DFDLaplace_16", "2DFDLaplace_32"),
 
 
 def fast_config(**overrides):
-    defaults = dict(min_records=24, epochs=10, checkpoint_every=2,
-                    interval_s=60.0, patience=50)
+    """A small :class:`LearnConfig`; training fields go to its ``training``."""
+    training_fields = {f.name for f in fields(TrainingConfig)}
+    training = dict(epochs=10, patience=50)
+    training.update({key: overrides.pop(key) for key in list(overrides)
+                     if key in training_fields})
+    defaults = dict(min_records=24, checkpoint_every=2, interval_s=60.0,
+                    training=replace(LearnConfig().training, **training))
     defaults.update(overrides)
     return LearnConfig(**defaults)
 
